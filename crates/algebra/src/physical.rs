@@ -239,16 +239,19 @@ pub enum PhysicalOp {
 /// nodes by `explain_with_actuals`.
 ///
 /// Produced by the executor's metrics registry in post-order (children
-/// before parents) — the same order in which operators register during plan
-/// lowering.
+/// before parents) — one entry per plan node, in the order operators
+/// register while the plan is built, so an entry's position is its node's
+/// post-order position.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OperatorActuals {
-    /// The operator label, matching [`PhysicalPlan::node_label`].
+    /// The operator label as registered ([`PhysicalPlan::node_label`] under
+    /// the executing ranking context).
     pub label: String,
     /// Number of tuples the operator actually produced.
     pub rows: u64,
-    /// Number of non-empty batches the operator emitted through the batched
-    /// pull path (0 when driven tuple-at-a-time).
+    /// Number of non-empty pulls the operator answered: every non-empty
+    /// `next_batch` counts, including the one-tuple pulls a rank-aware
+    /// parent makes (0 only when the operator emitted nothing).
     pub batches: u64,
     /// Mean number of tuples per emitted batch (0 when no batch was
     /// emitted).
@@ -396,29 +399,46 @@ impl PhysicalPlan {
     }
 
     /// Structurally lowers a logical plan, carrying zero cost estimates.
-    ///
-    /// The mapping is mechanical because the logical plan already fixes the
-    /// access path and join algorithm; the one *physical* rewrite applied
-    /// here is fusing `Limit(Sort(x))` into the bounded-heap [`top-k
-    /// sort`](PhysicalOp::SortLimit).  Optimizer lowerings re-annotate the
-    /// result of this function with real per-node estimates.
     pub fn from_logical(plan: &LogicalPlan) -> Result<PhysicalPlan> {
-        // Fuse λ_k directly above τ_F into one bounded top-k sort.
-        if let LogicalPlan::Limit { input, k } = plan {
-            if let LogicalPlan::Sort {
-                input: sort_input,
-                predicates,
-            } = input.as_ref()
-            {
-                let child = PhysicalPlan::from_logical(sort_input)?;
-                return Ok(PhysicalPlan::unestimated(PhysicalOp::SortLimit {
-                    input: Box::new(child),
+        PhysicalPlan::from_logical_annotated(plan, &mut |_| Ok((Cost::ZERO, 0.0)))
+    }
+
+    /// Structurally lowers a logical plan, annotating every physical node
+    /// with the `(cumulative cost, output rows)` that `annotate` returns for
+    /// the logical node it implements.
+    ///
+    /// This is the one `LogicalPlan → PhysicalOp` mapping.  It is mechanical
+    /// because the logical plan already fixes the access path and join
+    /// algorithm; the one *physical* rewrite applied here is fusing
+    /// `Limit(Sort(x))` into the bounded-heap [`top-k
+    /// sort`](PhysicalOp::SortLimit), which carries the annotation of the
+    /// `Limit` node.  Children are lowered (and annotated) before their
+    /// parent.
+    pub fn from_logical_annotated(
+        plan: &LogicalPlan,
+        annotate: &mut dyn FnMut(&LogicalPlan) -> Result<(Cost, f64)>,
+    ) -> Result<PhysicalPlan> {
+        let mut lower = |child: &LogicalPlan| -> Result<Box<PhysicalPlan>> {
+            Ok(Box::new(PhysicalPlan::from_logical_annotated(
+                child, annotate,
+            )?))
+        };
+        let op = match plan {
+            // Fuse λ_k directly above τ_F into one bounded top-k sort.
+            LogicalPlan::Limit { input, k } => match input.as_ref() {
+                LogicalPlan::Sort {
+                    input: sort_input,
+                    predicates,
+                } => PhysicalOp::SortLimit {
+                    input: lower(sort_input)?,
                     predicates: *predicates,
                     k: *k,
-                }));
-            }
-        }
-        let op = match plan {
+                },
+                _ => PhysicalOp::Limit {
+                    input: lower(input)?,
+                    k: *k,
+                },
+            },
             LogicalPlan::Scan {
                 table,
                 schema,
@@ -441,15 +461,15 @@ impl PhysicalPlan {
                 },
             },
             LogicalPlan::Select { input, predicate } => PhysicalOp::Filter {
-                input: Box::new(PhysicalPlan::from_logical(input)?),
+                input: lower(input)?,
                 predicate: predicate.clone(),
             },
             LogicalPlan::Project { input, columns } => PhysicalOp::Project {
-                input: Box::new(PhysicalPlan::from_logical(input)?),
+                input: lower(input)?,
                 columns: columns.clone(),
             },
             LogicalPlan::Rank { input, predicate } => PhysicalOp::RankMaterialize {
-                input: Box::new(PhysicalPlan::from_logical(input)?),
+                input: lower(input)?,
                 predicate: *predicate,
             },
             LogicalPlan::Join {
@@ -458,8 +478,8 @@ impl PhysicalPlan {
                 condition,
                 algorithm,
             } => {
-                let left = Box::new(PhysicalPlan::from_logical(left)?);
-                let right = Box::new(PhysicalPlan::from_logical(right)?);
+                let left = lower(left)?;
+                let right = lower(right)?;
                 let condition = condition.clone();
                 match algorithm {
                     JoinAlgorithm::NestedLoop => PhysicalOp::NestedLoopsJoin {
@@ -491,19 +511,20 @@ impl PhysicalPlan {
             }
             LogicalPlan::SetOp { kind, left, right } => PhysicalOp::SetOp {
                 kind: *kind,
-                left: Box::new(PhysicalPlan::from_logical(left)?),
-                right: Box::new(PhysicalPlan::from_logical(right)?),
+                left: lower(left)?,
+                right: lower(right)?,
             },
             LogicalPlan::Sort { input, predicates } => PhysicalOp::Sort {
-                input: Box::new(PhysicalPlan::from_logical(input)?),
+                input: lower(input)?,
                 predicates: *predicates,
             },
-            LogicalPlan::Limit { input, k } => PhysicalOp::Limit {
-                input: Box::new(PhysicalPlan::from_logical(input)?),
-                k: *k,
-            },
         };
-        Ok(PhysicalPlan::unestimated(op))
+        let (estimated_cost, estimated_rows) = annotate(plan)?;
+        Ok(PhysicalPlan {
+            op,
+            estimated_cost,
+            estimated_rows,
+        })
     }
 
     /// The output schema of this plan.
@@ -928,25 +949,22 @@ impl PhysicalPlan {
 
     /// Multi-line indented explain output with per-node estimates.
     pub fn explain(&self, ctx: Option<&RankingContext>) -> String {
-        let mut out = String::new();
-        self.explain_into(ctx, 0, &mut None, &mut out);
-        out
+        self.explain_with_actuals(ctx, &[])
     }
 
     /// Explain output annotated with the runtime actuals of each operator
-    /// (tuples produced, and — when the plan ran through the batched pull
-    /// path — batch count and mean batch fill), paired from a post-order
-    /// [`OperatorActuals`] series as recorded by the executor's metrics
-    /// registry.
+    /// (tuples produced, batch count and mean batch fill), paired from a
+    /// post-order [`OperatorActuals`] series as recorded by the executor's
+    /// metrics registry: the `i`-th entry belongs to the `i`-th node of
+    /// [`PhysicalPlan::post_order`].  Pairing is by position, never by label
+    /// text, so it holds whatever `ctx` the labels are rendered with.
     pub fn explain_with_actuals(
         &self,
         ctx: Option<&RankingContext>,
         actuals: &[OperatorActuals],
     ) -> String {
         let mut out = String::new();
-        let mut remaining: Vec<OperatorActuals> = actuals.to_vec();
-        let mut actuals = Some(&mut remaining);
-        self.explain_into(ctx, 0, &mut actuals, &mut out);
+        self.explain_into(ctx, 0, actuals, &mut 0, &mut out);
         out
     }
 
@@ -954,25 +972,19 @@ impl PhysicalPlan {
         &self,
         ctx: Option<&RankingContext>,
         depth: usize,
-        actuals: &mut Option<&mut Vec<OperatorActuals>>,
+        actuals: &[OperatorActuals],
+        next_id: &mut usize,
         out: &mut String,
     ) {
         use std::fmt::Write as _;
-        // Children first so the post-order actuals pairing lines up, but
+        // Children first so this node's post-order position is known, but
         // write this node's line before theirs.
         let mut child_text = String::new();
         for c in self.children() {
-            c.explain_into(ctx, depth + 1, actuals, &mut child_text);
+            c.explain_into(ctx, depth + 1, actuals, next_id, &mut child_text);
         }
-        let label = self.node_label(ctx);
-        // Children consumed their entries first, so under post-order
-        // registration the first remaining match belongs to this node.
         let actual = actuals
-            .as_mut()
-            .and_then(|a| {
-                let pos = a.iter().position(|x| x.label == label)?;
-                Some(a.remove(pos))
-            })
+            .get(*next_id)
             .map(|a| {
                 if a.batches > 0 {
                     format!(
@@ -984,11 +996,12 @@ impl PhysicalPlan {
                 }
             })
             .unwrap_or_default();
+        *next_id += 1;
         let _ = writeln!(
             out,
             "{}{} (cost={:.1}, est_rows={:.1}{})",
             "  ".repeat(depth),
-            label,
+            self.node_label(ctx),
             self.estimated_cost.value(),
             self.estimated_rows,
             actual

@@ -1,9 +1,9 @@
 //! Ablation: how the configured execution batch size affects wall-clock on
 //! the membership-heavy plan shapes (scan, scan+filter, hash join) and on a
-//! rank-aware top-k plan whose operators use the tuple-at-a-time adapter.
+//! rank-aware top-k plan whose operators decide emissions one tuple at a time.
 //!
-//! Batch size 1 degrades the engine to tuple-at-a-time pulls (the historical
-//! scheme); larger sizes amortize per-pull dispatch, metric updates and
+//! Batch size 1 is tuple-at-a-time execution (the paper's `GetNext`);
+//! larger sizes amortize per-pull dispatch, metric updates and
 //! budget accounting.  The membership plans are expected to improve steeply
 //! up to a few hundred tuples per batch and flatten after; the rank-aware
 //! plan is expected to be insensitive — its cost is dominated by ranking

@@ -25,7 +25,8 @@ use std::time::Instant;
 use ranksql_algebra::{PhysicalOp, PhysicalPlan, RankQuery};
 use ranksql_common::{RankSqlError, Result, Schema};
 use ranksql_executor::{
-    build_operator, Batch, BoxedOperator, ExecutionContext, ExecutionResult, MetricsRegistry,
+    build_operator, pull_one, Batch, BoxedOperator, ExecutionContext, ExecutionResult,
+    MetricsRegistry,
 };
 use ranksql_expr::{RankedTuple, RankingContext};
 use ranksql_storage::{Catalog, StatsCatalog};
@@ -80,6 +81,8 @@ pub struct Cursor {
     table_stats: Vec<(String, StatsCatalog)>,
     exhausted: bool,
     emitted: u64,
+    /// Reused one-tuple batch for [`Cursor::next`].
+    scratch: Batch,
 }
 
 impl std::fmt::Debug for Cursor {
@@ -161,6 +164,7 @@ impl Cursor {
             table_stats,
             exhausted: false,
             emitted: 0,
+            scratch: Batch::new(),
         })
     }
 
@@ -220,13 +224,14 @@ impl Cursor {
         self.exec.pages_faulted()
     }
 
-    /// Produces the next row, or `None` when the stream is exhausted.
+    /// Produces the next row (`GetNext`: a one-tuple pull from the root), or
+    /// `None` when the stream is exhausted.
     #[allow(clippy::should_implement_trait)] // fallible next + an Iterator impl, like std's Lines
     pub fn next(&mut self) -> Result<Option<RankedTuple>> {
         if self.exhausted {
             return Ok(None);
         }
-        match self.root.next()? {
+        match pull_one(self.root.as_mut(), &mut self.scratch)? {
             Some(t) => {
                 self.emitted += 1;
                 Ok(Some(t))

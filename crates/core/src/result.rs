@@ -121,9 +121,10 @@ impl QueryResult {
     }
 
     /// The executed physical tree annotated with each operator's runtime
-    /// actuals (`EXPLAIN ANALYZE`-style): tuples produced, and — for
-    /// operators that ran through the batched pull path — the number of
-    /// batches emitted and the mean batch fill.  Executions that came
+    /// actuals (`EXPLAIN ANALYZE`-style): tuples produced, the number of
+    /// non-empty `next_batch` answers and the mean batch fill.  Every pull
+    /// counts as a batch, so the input of a rank-aware operator (pulled one
+    /// tuple at a time) reports `mean_batch_fill=1.0`.  Executions that came
     /// through a prepared statement are prefixed with the plan-cache
     /// outcome (`plan cache: hit (hits=…, misses=…, entries=…)`) and one
     /// `statistics[T]` line per referenced table with built statistics

@@ -16,8 +16,8 @@ pub struct Filter {
     predicate: BoundBoolExpr,
     schema: Schema,
     metrics: Arc<OperatorMetrics>,
-    /// Scratch buffer for batched input pulls; always fully consumed before
-    /// a batched call returns, so tuple- and batch-driven pulls can mix.
+    /// Reused buffer for input pulls; always fully consumed before
+    /// `next_batch` returns.
     in_buf: Batch,
 }
 
@@ -44,17 +44,6 @@ impl Filter {
 impl PhysicalOperator for Filter {
     fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        while let Some(rt) = self.input.next()? {
-            self.metrics.add_in(1);
-            if self.predicate.eval(&rt.tuple)? {
-                self.metrics.add_out(1);
-                return Ok(Some(rt));
-            }
-        }
-        Ok(None)
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
@@ -107,7 +96,7 @@ pub struct Project {
     indices: Vec<usize>,
     schema: Schema,
     metrics: Arc<OperatorMetrics>,
-    /// Scratch buffer for batched input pulls (fully consumed per call).
+    /// Reused buffer for input pulls (fully consumed per call).
     in_buf: Batch,
 }
 
@@ -138,18 +127,6 @@ impl Project {
 impl PhysicalOperator for Project {
     fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        match self.input.next()? {
-            Some(rt) => {
-                self.metrics.add_in(1);
-                self.metrics.add_out(1);
-                let projected = rt.tuple.project(&self.indices);
-                Ok(Some(RankedTuple::new(projected, rt.state)))
-            }
-            None => Ok(None),
-        }
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {

@@ -16,7 +16,7 @@ use ranksql_expr::{BoolExpr, BoundBoolExpr, CompareOp, RankedTuple, ScalarExpr};
 use crate::context::ExecutionContext;
 use crate::fxhash::FxHashMap;
 use crate::metrics::OperatorMetrics;
-use crate::operator::{Batch, BoxedOperator, PhysicalOperator};
+use crate::operator::{pull_one, Batch, BoxedOperator, PhysicalOperator};
 
 /// Equi-join keys extracted from a join condition, plus whatever part of the
 /// condition is not a simple column equality (the *residual*, evaluated on
@@ -145,6 +145,8 @@ pub struct NestedLoopJoin {
     right_pos: usize,
     metrics: Arc<OperatorMetrics>,
     batch_size: usize,
+    /// Reused one-tuple batch for pulling the outer input.
+    left_scratch: Batch,
 }
 
 impl NestedLoopJoin {
@@ -169,6 +171,7 @@ impl NestedLoopJoin {
             right_pos: 0,
             metrics,
             batch_size: exec.batch_size(),
+            left_scratch: Batch::new(),
         })
     }
 
@@ -197,6 +200,7 @@ impl NestedLoopJoin {
             right_pos: 0,
             metrics,
             batch_size: exec.batch_size(),
+            left_scratch: Batch::new(),
         })
     }
 
@@ -225,22 +229,27 @@ impl PhysicalOperator for NestedLoopJoin {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
+    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
+        // The per-output work (a pass over the inner relation) dwarfs
+        // dispatch, so the outer side is pulled one tuple at a time;
+        // batching pays off through the vectorized inner materialisation.
         self.ensure_right_materialised()?;
-        loop {
+        let mut n = 0;
+        while n < max {
             if self.current_left.is_none() {
-                match self.left.next()? {
+                match pull_one(self.left.as_mut(), &mut self.left_scratch)? {
                     Some(t) => {
                         self.metrics.add_in(1);
                         self.current_left = Some(t);
                         self.right_pos = 0;
                     }
-                    None => return Ok(None),
+                    None => break,
                 }
             }
-            let left = self.current_left.as_ref().expect("current left set");
-            let rows = self.right_rows.as_ref().expect("right materialised");
-            while self.right_pos < rows.len() {
+            let (Some(left), Some(rows)) = (&self.current_left, &self.right_rows) else {
+                break;
+            };
+            while self.right_pos < rows.len() && n < max {
                 let right = &rows[self.right_pos];
                 self.right_pos += 1;
                 let joined = left.join(right);
@@ -249,29 +258,16 @@ impl PhysicalOperator for NestedLoopJoin {
                     None => true,
                 };
                 if passes {
-                    self.metrics.add_out(1);
-                    return Ok(Some(joined));
-                }
-            }
-            self.current_left = None;
-        }
-    }
-
-    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        // The per-output work (a pass over the inner relation) dwarfs
-        // dispatch, so the batched path reuses the tuple loop; batching
-        // still pays off through the vectorized inner materialisation.
-        let mut n = 0;
-        while n < max {
-            match self.next()? {
-                Some(t) => {
-                    out.push(t);
+                    out.push(joined);
                     n += 1;
                 }
-                None => break,
+            }
+            if self.right_pos >= rows.len() {
+                self.current_left = None;
             }
         }
         if n > 0 {
+            self.metrics.add_out(n as u64);
             self.metrics.add_batch();
         }
         Ok(n)
@@ -410,8 +406,8 @@ impl HashJoin {
     }
 
     /// Draws the next probe-side tuple, refilling the internal buffer with a
-    /// batch of up to `refill` tuples when it runs dry.  `refill = 1` keeps
-    /// tuple-driven pulls tuple-at-a-time.
+    /// batch of up to `refill` tuples (the output count still wanted) when it
+    /// runs dry, so a one-tuple pull draws one probe tuple.
     fn next_left(&mut self, refill: usize) -> Result<Option<RankedTuple>> {
         if self.left_buf.is_empty() && !self.left_done {
             self.left_scratch.clear();
@@ -427,52 +423,11 @@ impl HashJoin {
         }
         Ok(self.left_buf.pop_front())
     }
-
-    /// Advances to the next probe tuple and looks up its matches.  Returns
-    /// `false` when the probe side is exhausted.
-    fn advance_probe(&mut self, refill: usize) -> Result<bool> {
-        match self.next_left(refill)? {
-            Some(t) => {
-                let table = self.table.as_ref().expect("hash table built");
-                self.current_matches =
-                    probe_matches(table.as_ref(), &self.left_key_cols, &mut self.probe_key, &t)
-                        .cloned()
-                        .unwrap_or_default();
-                self.match_pos = 0;
-                self.current_left = Some(t);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
 }
 
 impl PhysicalOperator for HashJoin {
     fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        self.ensure_built()?;
-        loop {
-            while self.match_pos < self.current_matches.len() {
-                let right = &self.current_matches[self.match_pos];
-                self.match_pos += 1;
-                let left = self.current_left.as_ref().expect("left set while matching");
-                let joined = left.join(right);
-                let passes = match &self.residual {
-                    Some(c) => c.eval(&joined.tuple)?,
-                    None => true,
-                };
-                if passes {
-                    self.metrics.add_out(1);
-                    return Ok(Some(joined));
-                }
-            }
-            if !self.advance_probe(1)? {
-                return Ok(None);
-            }
-        }
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
@@ -673,23 +628,11 @@ impl PhysicalOperator for SortMergeJoin {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        self.prepare()?;
-        Ok(self.output.next())
-    }
-
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         self.prepare()?;
-        let mut n = 0;
-        while n < max {
-            match self.output.next() {
-                Some(t) => {
-                    out.push(t);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
+        let before = out.len();
+        out.extend(self.output.by_ref().take(max));
+        let n = out.len() - before;
         if n > 0 {
             self.metrics.add_batch();
         }

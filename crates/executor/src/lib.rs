@@ -1,12 +1,13 @@
 //! The pipelined, incremental execution engine of RankSQL (Section 4).
 //!
 //! Plans are trees of Volcano-style iterators ([`PhysicalOperator`]): the
-//! consumer repeatedly calls `next()` on the root, which recursively draws
-//! tuples from its inputs.  The rank-aware operators implement the paper's
-//! incremental execution model: tuple streams flow in non-increasing order of
-//! their *maximal-possible scores* (`F_P[t]`, Property 1), so a top-k query
-//! stops as soon as `k` results have surfaced and execution cost is
-//! proportional to `k` rather than to the full input.
+//! consumer repeatedly calls [`PhysicalOperator::next_batch`] on the root,
+//! which recursively draws tuples from its inputs.  The rank-aware
+//! operators implement the paper's incremental execution model: tuple
+//! streams flow in non-increasing order of their *maximal-possible scores*
+//! (`F_P[t]`, Property 1), so a top-k query stops as soon as `k` results
+//! have surfaced and execution cost is proportional to `k` rather than to
+//! the full input.
 //!
 //! Operators provided:
 //!
@@ -32,15 +33,17 @@
 //! [`build::execute_plan`] / [`build::execute_query_plan`] accept a
 //! [`ranksql_algebra::LogicalPlan`] and lower it structurally first.
 //!
-//! **Batched (vectorized) execution.** Every operator additionally exposes
-//! [`operator::PhysicalOperator::next_batch`], which moves tuples in
-//! reusable [`operator::Batch`] chunks instead of one virtual call per
-//! tuple.  Membership-oriented operators (scans, σ/π, the traditional
-//! joins, sorts, limits, ∪/−) implement it natively — amortizing dispatch,
-//! metric updates and budget accounting over the chunk — while the
-//! rank-aware operators (µ, MPro, HRJN/NRJN, ∩) use a tuple-at-a-time
-//! adapter that preserves the paper's incremental top-k semantics exactly.
-//! The root driver ([`build::execute_physical_plan`]) pulls batches of
+//! **One pull protocol.** [`operator::PhysicalOperator::next_batch`] is
+//! the only pull method: it moves tuples in reusable [`operator::Batch`]
+//! chunks, and the paper's `GetNext` is `next_batch(1, …)`
+//! ([`operator::pull_one`]).  Membership-oriented operators (scans, σ/π,
+//! the traditional joins, sorts, limits, ∪/−) fill the chunk with
+//! vectorized loops — amortizing dispatch, metric updates and budget
+//! accounting over it — while the rank-aware operators (µ, MPro, HRJN/NRJN,
+//! ∩) decide each emission in a loop that stops at `max` and pull their
+//! inputs one tuple at a time, which preserves the paper's incremental
+//! top-k semantics exactly.  The root driver
+//! ([`build::execute_physical_plan`]) pulls batches of
 //! [`ExecutionContext::batch_size`] tuples, and blocking operators drain
 //! their inputs in chunks of the same size.
 //!
@@ -82,5 +85,5 @@ pub use context::{ExecutionContext, TopKThreshold, TupleBudget};
 pub use exchange::{ExchangeOp, RepartitionPassthrough};
 pub use metrics::{MetricsRegistry, OperatorMetrics};
 pub use mpro::MProOp;
-pub use operator::{drain, drain_batched, Batch, BoxedOperator, PhysicalOperator};
+pub use operator::{drain, drain_batched, pull_one, Batch, BoxedOperator, PhysicalOperator};
 pub use oracle::oracle_top_k;

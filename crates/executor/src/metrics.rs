@@ -40,12 +40,12 @@ impl OperatorMetrics {
         self.tuples_in.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one tuple emitted by the operator.
+    /// Records `n` tuples emitted by the operator.
     pub fn add_out(&self, n: u64) {
         self.tuples_out.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one non-empty batch emitted through the batched pull path.
+    /// Records one non-empty `next_batch` answer.
     pub fn add_batch(&self) {
         self.batches_out.fetch_add(1, Ordering::Relaxed);
     }
@@ -65,8 +65,10 @@ impl OperatorMetrics {
         self.tuples_out.load(Ordering::Relaxed)
     }
 
-    /// Non-empty batches emitted through the batched pull path (0 when the
-    /// operator was only ever driven tuple-at-a-time).
+    /// Non-empty `next_batch` answers.  Every pull counts — `next_batch` is
+    /// the only pull method — so the input of a rank-aware operator, pulled
+    /// one tuple at a time, reports one batch per tuple
+    /// (`mean_batch_fill = 1.0`).  0 only when nothing was emitted.
     pub fn batches_out(&self) -> u64 {
         self.batches_out.load(Ordering::Relaxed)
     }

@@ -28,7 +28,7 @@ use ranksql_expr::{RankedTuple, RankingContext};
 
 use crate::context::ExecutionContext;
 use crate::metrics::OperatorMetrics;
-use crate::operator::{Batch, BoxedOperator, PhysicalOperator, RankingQueue};
+use crate::operator::{pull_one, Batch, BoxedOperator, PhysicalOperator, RankingQueue};
 
 /// A multi-predicate rank operator with minimal-probing scheduling.
 ///
@@ -52,6 +52,8 @@ pub struct MProOp {
     input_ranked: bool,
     /// Number of predicate probes performed (exposed for tests/benches).
     probes: u64,
+    /// Reused one-tuple batch for pulling the input.
+    scratch: Batch,
 }
 
 impl MProOp {
@@ -79,6 +81,7 @@ impl MProOp {
             input_exhausted: false,
             input_ranked,
             probes: 0,
+            scratch: Batch::new(),
         }
     }
 
@@ -122,16 +125,21 @@ impl PhysicalOperator for MProOp {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        loop {
+    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
+        // Minimal probing is inherently tuple-at-a-time: each emission is
+        // decided (and each input tuple drawn) exactly as `GetNext` would.
+        let mut n = 0;
+        while n < max {
             if let Some(head_score) = self.queue.peek_score() {
                 if self.head_surfaces(head_score) {
-                    let mut t = self.queue.pop().expect("non-empty queue");
+                    let Some(mut t) = self.queue.pop() else {
+                        break;
+                    };
                     match self.next_unevaluated(&t) {
                         // Fully probed and unbeatable: this is the next output.
                         None => {
-                            self.metrics.add_out(1);
-                            return Ok(Some(t));
+                            out.push(t);
+                            n += 1;
                         }
                         // The probe of `p` on this tuple is *necessary*: the
                         // tuple cannot be emitted or discarded without it.
@@ -141,17 +149,17 @@ impl PhysicalOperator for MProOp {
                             self.probes += 1;
                             self.queue.push(t);
                             self.metrics.observe_buffered(self.queue.len() as u64);
-                            continue;
                         }
                     }
+                    continue;
                 }
             } else if self.input_exhausted {
-                return Ok(None);
+                break;
             }
 
             // The head (if any) may still be beaten by future input: draw one
             // more input tuple.
-            match self.input.next()? {
+            match pull_one(self.input.as_mut(), &mut self.scratch)? {
                 Some(rt) => {
                     self.metrics.add_in(1);
                     self.input_bound = self.ctx.upper_bound(&rt.state);
@@ -163,23 +171,8 @@ impl PhysicalOperator for MProOp {
                 }
             }
         }
-    }
-
-    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        // Minimal probing is inherently tuple-at-a-time: batching the loop
-        // would not change which probes are necessary, so only the hand-off
-        // (and batch accounting) is chunked.
-        let mut n = 0;
-        while n < max {
-            match self.next()? {
-                Some(t) => {
-                    out.push(t);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
         if n > 0 {
+            self.metrics.add_out(n as u64);
             self.metrics.add_batch();
         }
         Ok(n)

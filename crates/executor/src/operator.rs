@@ -14,8 +14,10 @@ pub type Batch = ranksql_common::Batch<RankedTuple>;
 /// A Volcano-style physical operator producing [`RankedTuple`]s on demand.
 ///
 /// The paper's iterator interface is `Open` / `GetNext` / `Close`; in Rust
-/// construction plays the role of `Open`, [`PhysicalOperator::next`] is
-/// `GetNext` (returning `None` at end of stream) and `Drop` is `Close`.
+/// construction plays the role of `Open`, `Drop` is `Close`, and `GetNext`
+/// is [`PhysicalOperator::next_batch`] with `max = 1`.  There is one pull
+/// method: a consumer that wants tuples one at a time asks for batches of
+/// one (see [`pull_one`]), a vectorized consumer asks for more.
 ///
 /// **Ordering contract.** An operator whose [`PhysicalOperator::is_ranked`]
 /// returns `true` must emit tuples in non-increasing order of their
@@ -24,43 +26,23 @@ pub type Batch = ranksql_common::Batch<RankedTuple>;
 /// Section 4.1.  Operators that are not rank-aware (traditional joins, plain
 /// sort inputs) make no ordering promise.
 ///
-/// **Batched pull.** [`PhysicalOperator::next_batch`] is the vectorized form
-/// of `next`: it appends up to `max` tuples to a caller-owned [`Batch`] and
-/// returns how many it appended, amortizing virtual dispatch, metric updates
-/// and budget accounting over the whole chunk.  A batch is always a
-/// contiguous chunk of the same tuple stream `next` would produce, so both
-/// contracts (membership *and* emission order) carry over unchanged; the two
-/// entry points share state and may be mixed freely on one operator.
-/// Membership-oriented operators (scans, filters, traditional joins, sorts,
-/// limits) override it with genuinely vectorized inner loops; rank-aware
-/// operators keep the tuple-at-a-time default below, which preserves the
-/// paper's incremental top-k semantics — a consumer asking for a small batch
-/// never forces more probing or input consumption than `max` calls to `next`
-/// would.
+/// **Incrementality contract.** `next_batch(max, out)` never draws more
+/// input than its next `max` emissions require.  Membership-oriented
+/// operators (scans, filters, traditional joins, sorts, limits) fill the
+/// chunk with vectorized inner loops; the rank-aware operators (µ, MPro,
+/// HRJN/NRJN, ∩) decide emissions one tuple at a time and pull their inputs
+/// one tuple at a time, so a consumer asking for a small batch never forces
+/// more probing or input consumption than the paper's `GetNext` would.
+/// Successive batches are contiguous chunks of one tuple stream, so the
+/// stream (membership *and* order) is the same for every batch size.
 pub trait PhysicalOperator {
     /// The schema of emitted tuples.
     fn schema(&self) -> &Schema;
 
-    /// Produces the next tuple, or `None` when the stream is exhausted.
-    fn next(&mut self) -> Result<Option<RankedTuple>>;
-
     /// Appends up to `max` tuples to `out`, returning how many were appended.
     ///
-    /// A return of `0` (with `max > 0`) means the stream is exhausted.  The
-    /// default implementation adapts [`PhysicalOperator::next`].
-    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        let mut n = 0;
-        while n < max {
-            match self.next()? {
-                Some(t) => {
-                    out.push(t);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        Ok(n)
-    }
+    /// A return of `0` (with `max > 0`) means the stream is exhausted.
+    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize>;
 
     /// Whether this operator's output respects the rank-relational ordering
     /// contract.
@@ -198,41 +180,41 @@ impl RankingQueue {
     }
 }
 
-/// Drains an operator completely, collecting every emitted tuple.
+/// `GetNext`: pulls a single tuple from `op` as `next_batch(1, …)` into a
+/// caller-owned scratch batch (cleared first and reused across calls, so
+/// the pull allocates nothing after the first).  Returns `None` at end of
+/// stream.
+pub fn pull_one(op: &mut dyn PhysicalOperator, scratch: &mut Batch) -> Result<Option<RankedTuple>> {
+    scratch.clear();
+    op.next_batch(1, scratch)?;
+    Ok(scratch.pop())
+}
+
+/// Drains an operator completely one tuple at a time (batch size 1),
+/// collecting every emitted tuple.
 pub fn drain(op: &mut dyn PhysicalOperator) -> Result<Vec<RankedTuple>> {
-    let mut out = Vec::new();
-    while let Some(t) = op.next()? {
-        out.push(t);
-    }
-    Ok(out)
+    drain_batched(op, 1)
 }
 
 /// Drains an operator completely through the batched interface, pulling
-/// chunks of `batch_size` tuples at a time.
+/// chunks of `batch_size` tuples at a time straight into the result.
 pub fn drain_batched(op: &mut dyn PhysicalOperator, batch_size: usize) -> Result<Vec<RankedTuple>> {
     let batch_size = batch_size.max(1);
-    let mut batch = Batch::with_capacity(batch_size);
-    let mut out = Vec::new();
-    loop {
-        batch.clear();
-        let n = op.next_batch(batch_size, &mut batch)?;
-        if n == 0 {
-            return Ok(out);
-        }
-        out.append(&mut batch);
-    }
+    let mut out = Batch::new();
+    while op.next_batch(batch_size, &mut out)? > 0 {}
+    Ok(out.into_vec())
 }
 
-/// Draws at most `k` tuples from an operator.
+/// Draws at most `k` tuples from an operator in a single `next_batch`
+/// loop capped at `k`.
 pub fn take(op: &mut dyn PhysicalOperator, k: usize) -> Result<Vec<RankedTuple>> {
-    let mut out = Vec::with_capacity(k);
+    let mut out = Batch::with_capacity(k);
     while out.len() < k {
-        match op.next()? {
-            Some(t) => out.push(t),
-            None => break,
+        if op.next_batch(k - out.len(), &mut out)? == 0 {
+            break;
         }
     }
-    Ok(out)
+    Ok(out.into_vec())
 }
 
 /// Debug helper: asserts that a sequence of tuples is in non-increasing

@@ -3,11 +3,11 @@
 use std::sync::Arc;
 
 use ranksql_common::{Result, Schema, Score};
-use ranksql_expr::{RankedTuple, RankingContext};
+use ranksql_expr::RankingContext;
 
 use crate::context::ExecutionContext;
 use crate::metrics::OperatorMetrics;
-use crate::operator::{Batch, BoxedOperator, PhysicalOperator, RankingQueue};
+use crate::operator::{pull_one, Batch, BoxedOperator, PhysicalOperator, RankingQueue};
 
 /// The physical rank operator µ_p (Section 4.1 / Example 3).
 ///
@@ -33,6 +33,8 @@ pub struct RankOp {
     /// (e.g. a traditional join), µ only emits after exhausting it, which is
     /// still correct — just not incremental.
     input_ranked: bool,
+    /// Reused one-tuple batch for pulling the input.
+    scratch: Batch,
 }
 
 impl RankOp {
@@ -58,6 +60,7 @@ impl RankOp {
             input_bound: initial_bound,
             input_exhausted: false,
             input_ranked,
+            scratch: Batch::new(),
         }
     }
 }
@@ -67,29 +70,25 @@ impl PhysicalOperator for RankOp {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        loop {
+    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
+        let mut n = 0;
+        while n < max {
             // Emit the queue head if it can no longer be beaten by future
             // input.
-            if !self.queue.is_empty() {
-                let can_emit = if self.input_exhausted {
-                    true
-                } else if !self.input_ranked {
-                    false
-                } else {
-                    self.queue.peek_score().expect("non-empty queue") >= self.input_bound
-                };
+            if let Some(head_score) = self.queue.peek_score() {
+                let can_emit =
+                    self.input_exhausted || (self.input_ranked && head_score >= self.input_bound);
                 if can_emit {
-                    let t = self.queue.pop().expect("non-empty queue");
-                    self.metrics.add_out(1);
-                    return Ok(Some(t));
+                    out.extend(self.queue.pop());
+                    n += 1;
+                    continue;
                 }
             } else if self.input_exhausted {
-                return Ok(None);
+                break;
             }
 
             // Otherwise draw one more input tuple.
-            match self.input.next()? {
+            match pull_one(self.input.as_mut(), &mut self.scratch)? {
                 Some(mut rt) => {
                     self.metrics.add_in(1);
                     // The child's emission order bound — any future child
@@ -111,23 +110,8 @@ impl PhysicalOperator for RankOp {
                 }
             }
         }
-    }
-
-    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        // Incremental rank-aware operator: keep the tuple-at-a-time loop so
-        // µ never draws more input than `max` emissions require; the batch
-        // only adds chunked hand-off (and batch accounting) upstream.
-        let mut n = 0;
-        while n < max {
-            match self.next()? {
-                Some(t) => {
-                    out.push(t);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
         if n > 0 {
+            self.metrics.add_out(n as u64);
             self.metrics.add_batch();
         }
         Ok(n)
@@ -337,7 +321,7 @@ mod tests {
         let exec = ExecutionContext::new(ctx);
         let scan = SeqScan::new(&empty, &exec, "scan");
         let mut mu = RankOp::new(Box::new(scan), 0, &exec, "mu");
-        assert!(mu.next().unwrap().is_none());
-        assert!(mu.next().unwrap().is_none());
+        assert!(take(&mut mu, 1).unwrap().is_empty());
+        assert!(take(&mut mu, 1).unwrap().is_empty());
     }
 }

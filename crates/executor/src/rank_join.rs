@@ -18,7 +18,7 @@ use crate::fxhash::FxHashMap;
 use crate::context::ExecutionContext;
 use crate::join::extract_join_keys;
 use crate::metrics::OperatorMetrics;
-use crate::operator::{Batch, BoxedOperator, PhysicalOperator, RankingQueue};
+use crate::operator::{pull_one, Batch, BoxedOperator, PhysicalOperator, RankingQueue};
 
 /// Which side to pull from next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,6 +42,8 @@ struct SideState {
     last_state: Option<ScoreState>,
     exhausted: bool,
     ranked: bool,
+    /// Reused one-tuple batch for pulling `input`.
+    scratch: Batch,
 }
 
 impl SideState {
@@ -56,6 +58,7 @@ impl SideState {
             last_state: None,
             exhausted: false,
             ranked,
+            scratch: Batch::new(),
         }
     }
 }
@@ -212,7 +215,7 @@ impl RankJoin {
             Side::Left => (&mut self.left, &mut self.right),
             Side::Right => (&mut self.right, &mut self.left),
         };
-        match this.input.next()? {
+        match pull_one(this.input.as_mut(), &mut this.scratch)? {
             None => {
                 this.exhausted = true;
             }
@@ -279,54 +282,35 @@ impl PhysicalOperator for RankJoin {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        loop {
-            let threshold = self.threshold();
-            if let Some(best) = self.output.peek_score() {
-                let both_done = self.left.exhausted && self.right.exhausted;
-                if both_done || best >= threshold {
-                    let t = self.output.pop().expect("non-empty output queue");
-                    self.metrics.add_out(1);
-                    return Ok(Some(t));
-                }
-            } else if self.left.exhausted && self.right.exhausted {
-                return Ok(None);
-            }
-            match self.pick_side() {
-                Some(side) => {
-                    self.advance(side)?;
-                    // Alternate between inputs (the paper's HRJN pulls from
-                    // both streams; a simple round-robin strategy suffices).
-                    self.turn = match self.turn {
-                        Side::Left => Side::Right,
-                        Side::Right => Side::Left,
-                    };
-                }
-                None => {
-                    // Both exhausted; loop once more to flush the queue.
-                    if self.output.is_empty() {
-                        return Ok(None);
-                    }
-                }
-            }
-        }
-    }
-
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        // Rank-joins emit against the HRJN threshold one tuple at a time;
-        // the adapter keeps that exact and only chunks the hand-off, so a
-        // top-k consumer never forces extra input consumption.
+        // Rank-joins emit against the HRJN threshold one tuple at a time and
+        // draw one input tuple per step, so a top-k consumer never forces
+        // extra input consumption whatever `max` is.
         let mut n = 0;
         while n < max {
-            match self.next()? {
-                Some(t) => {
-                    out.push(t);
+            let threshold = self.threshold();
+            let both_done = self.left.exhausted && self.right.exhausted;
+            if let Some(best) = self.output.peek_score() {
+                if both_done || best >= threshold {
+                    out.extend(self.output.pop());
                     n += 1;
+                    continue;
                 }
-                None => break,
+            } else if both_done {
+                break;
+            }
+            if let Some(side) = self.pick_side() {
+                self.advance(side)?;
+                // Alternate between inputs (the paper's HRJN pulls from
+                // both streams; a simple round-robin strategy suffices).
+                self.turn = match self.turn {
+                    Side::Left => Side::Right,
+                    Side::Right => Side::Left,
+                };
             }
         }
         if n > 0 {
+            self.metrics.add_out(n as u64);
             self.metrics.add_batch();
         }
         Ok(n)

@@ -18,7 +18,7 @@ use crate::operator::{Batch, PhysicalOperator};
 /// is trivially a rank-relation with `P = ∅`.
 ///
 /// The scan consumes its snapshot by value: the snapshot itself is the only
-/// copy made, and each `next()` *moves* a tuple out instead of cloning it —
+/// copy made, and each pull *moves* its tuples out instead of cloning it —
 /// the `operators_micro` bench records the delta against the historical
 /// clone-per-tuple scheme.  The snapshot is the execution's pinned epoch
 /// prefix, so concurrent inserts are invisible to an open scan.
@@ -48,16 +48,6 @@ impl SeqScan {
 impl PhysicalOperator for SeqScan {
     fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        let Some(t) = self.tuples.next() else {
-            return Ok(None);
-        };
-        self.budget.charge(1)?;
-        self.metrics.add_in(1);
-        self.metrics.add_out(1);
-        Ok(Some(RankedTuple::unranked(t, self.ctx.num_predicates())))
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
@@ -160,20 +150,6 @@ impl PhysicalOperator for RankScan {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        let Some((score, row)) = self.index.get(self.pos) else {
-            return Ok(None);
-        };
-        self.pos += 1;
-        let tuple = self.table.tuple_within(row, self.watermark)?;
-        self.budget.charge(1)?;
-        let mut rt = RankedTuple::unranked(tuple, self.ctx.num_predicates());
-        rt.state.set(self.predicate, score.value());
-        self.metrics.add_in(1);
-        self.metrics.add_out(1);
-        Ok(Some(rt))
-    }
-
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         // A batch is a contiguous run of index entries, so the descending
         // score order is preserved exactly.
@@ -261,21 +237,6 @@ impl AttributeIndexScan {
 impl PhysicalOperator for AttributeIndexScan {
     fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        let Some(&(_, row)) = self.index.entries().get(self.pos) else {
-            return Ok(None);
-        };
-        self.pos += 1;
-        let tuple = self.table.tuple_within(row, self.watermark)?;
-        self.budget.charge(1)?;
-        self.metrics.add_in(1);
-        self.metrics.add_out(1);
-        Ok(Some(RankedTuple::unranked(
-            tuple,
-            self.ctx.num_predicates(),
-        )))
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {

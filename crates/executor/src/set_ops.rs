@@ -26,7 +26,7 @@ use ranksql_expr::{RankedTuple, RankingContext};
 
 use crate::context::ExecutionContext;
 use crate::metrics::OperatorMetrics;
-use crate::operator::{Batch, BoxedOperator, PhysicalOperator, RankingQueue};
+use crate::operator::{pull_one, Batch, BoxedOperator, PhysicalOperator, RankingQueue};
 
 /// Rank-aware union (set semantics by tuple identity).
 pub struct UnionOp {
@@ -104,28 +104,12 @@ impl PhysicalOperator for UnionOp {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        self.prepare()?;
-        let next = self.output.as_mut().expect("prepared").next();
-        if next.is_some() {
-            self.metrics.add_out(1);
-        }
-        Ok(next)
-    }
-
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         self.prepare()?;
         let output = self.output.as_mut().expect("prepared");
-        let mut n = 0;
-        while n < max {
-            match output.next() {
-                Some(t) => {
-                    out.push(t);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
+        let before = out.len();
+        out.extend(output.by_ref().take(max));
+        let n = out.len() - before;
         if n > 0 {
             self.metrics.add_out(n as u64);
             self.metrics.add_batch();
@@ -169,6 +153,8 @@ pub struct IntersectOp {
     left_ranked: bool,
     right_ranked: bool,
     turn_left: bool,
+    /// Reused one-tuple batch for pulling either input.
+    scratch: Batch,
 }
 
 impl IntersectOp {
@@ -201,6 +187,7 @@ impl IntersectOp {
             left_ranked,
             right_ranked,
             turn_left: true,
+            scratch: Batch::new(),
         }
     }
 
@@ -224,9 +211,9 @@ impl IntersectOp {
 
     fn advance(&mut self, from_left: bool) -> Result<()> {
         let next = if from_left {
-            self.left.next()?
+            pull_one(self.left.as_mut(), &mut self.scratch)?
         } else {
-            self.right.next()?
+            pull_one(self.right.as_mut(), &mut self.scratch)?
         };
         match next {
             None => {
@@ -266,17 +253,20 @@ impl PhysicalOperator for IntersectOp {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        loop {
+    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
+        // Incremental: each emission is decided against the exact frontier
+        // and each step draws one input tuple, whatever `max` is.
+        let mut n = 0;
+        while n < max {
             let both_done = self.left_exhausted && self.right_exhausted;
             if let Some(best) = self.output.peek_score() {
                 if both_done || best >= self.frontier() {
-                    let t = self.output.pop().expect("non-empty");
-                    self.metrics.add_out(1);
-                    return Ok(Some(t));
+                    out.extend(self.output.pop());
+                    n += 1;
+                    continue;
                 }
             } else if both_done {
-                return Ok(None);
+                break;
             }
             // Pull from the side with the higher frontier (it is the one
             // blocking emission); alternate on ties.
@@ -292,22 +282,8 @@ impl PhysicalOperator for IntersectOp {
             };
             self.advance(from_left)?;
         }
-    }
-
-    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        // Incremental rank-aware operator: the tuple-at-a-time adapter keeps
-        // the emission threshold exact — only batch accounting is added.
-        let mut n = 0;
-        while n < max {
-            match self.next()? {
-                Some(t) => {
-                    out.push(t);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
         if n > 0 {
+            self.metrics.add_out(n as u64);
             self.metrics.add_batch();
         }
         Ok(n)
@@ -382,23 +358,6 @@ impl ExceptOp {
 impl PhysicalOperator for ExceptOp {
     fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        self.ensure_excluded()?;
-        while let Some(rt) = self.left.next()? {
-            self.metrics.add_in(1);
-            if !self
-                .excluded
-                .as_ref()
-                .expect("built")
-                .contains(rt.tuple.id())
-            {
-                self.metrics.add_out(1);
-                return Ok(Some(rt));
-            }
-        }
-        Ok(None)
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {

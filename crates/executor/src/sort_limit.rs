@@ -86,28 +86,12 @@ impl PhysicalOperator for SortOp {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        self.prepare()?;
-        let next = self.sorted.as_mut().expect("sorted after prepare").next();
-        if next.is_some() {
-            self.metrics.add_out(1);
-        }
-        Ok(next)
-    }
-
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         self.prepare()?;
         let sorted = self.sorted.as_mut().expect("sorted after prepare");
-        let mut n = 0;
-        while n < max {
-            match sorted.next() {
-                Some(t) => {
-                    out.push(t);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
+        let before = out.len();
+        out.extend(sorted.by_ref().take(max));
+        let n = out.len() - before;
         if n > 0 {
             self.metrics.add_out(n as u64);
             self.metrics.add_batch();
@@ -306,28 +290,12 @@ impl PhysicalOperator for SortLimitOp {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        self.prepare()?;
-        let next = self.sorted.as_mut().expect("sorted after prepare").next();
-        if next.is_some() {
-            self.metrics.add_out(1);
-        }
-        Ok(next)
-    }
-
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         self.prepare()?;
         let sorted = self.sorted.as_mut().expect("sorted after prepare");
-        let mut n = 0;
-        while n < max {
-            match sorted.next() {
-                Some(t) => {
-                    out.push(t);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
+        let before = out.len();
+        out.extend(sorted.by_ref().take(max));
+        let n = out.len() - before;
         if n > 0 {
             self.metrics.add_out(n as u64);
             self.metrics.add_batch();
@@ -388,21 +356,6 @@ impl LimitOp {
 impl PhysicalOperator for LimitOp {
     fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        if self.emitted >= self.k {
-            return Ok(None);
-        }
-        match self.input.next()? {
-            Some(t) => {
-                self.metrics.add_in(1);
-                self.metrics.add_out(1);
-                self.emitted += 1;
-                Ok(Some(t))
-            }
-            None => Ok(None),
-        }
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {

@@ -1,13 +1,13 @@
 //! Lowering `LogicalPlan → PhysicalPlan` with real per-node cost estimates.
 //!
 //! The structural mapping (which operator implements which logical node) is
-//! shared with [`PhysicalPlan::from_logical`]; this module re-runs it while
-//! annotating every physical node with the cost model's estimated cumulative
-//! cost and the estimator's output cardinality, so `explain` can print the
-//! tree the executor will run together with the numbers that made the
-//! optimizer choose it.
+//! [`PhysicalPlan::from_logical_annotated`]; this module supplies the
+//! annotation — the cost model's estimated cumulative cost and the
+//! estimator's output cardinality — so `explain` can print the tree the
+//! executor will run together with the numbers that made the optimizer
+//! choose it.
 
-use ranksql_algebra::{JoinAlgorithm, LogicalPlan, PhysicalOp, PhysicalPlan, ScanAccess};
+use ranksql_algebra::{LogicalPlan, PhysicalOp, PhysicalPlan};
 use ranksql_common::Result;
 use ranksql_expr::RankingContext;
 
@@ -25,131 +25,8 @@ pub fn lower_with_estimates(
     estimator: &SamplingEstimator,
     cost_model: &CostModel,
 ) -> Result<PhysicalPlan> {
-    // The structural mapping below must mirror `from_logical` (including
-    // the Limit(Sort) fusion); the tests cross-check the two against each
-    // other.
-    if let LogicalPlan::Limit { input, k } = plan {
-        if let LogicalPlan::Sort {
-            input: sort_input,
-            predicates,
-        } = input.as_ref()
-        {
-            let child = lower_with_estimates(sort_input, ctx, estimator, cost_model)?;
-            let (cost, _) = cost_model.cost_plan(plan, ctx, estimator)?;
-            let rows = estimator.estimate_cardinality(plan)?;
-            return Ok(PhysicalPlan {
-                op: PhysicalOp::SortLimit {
-                    input: Box::new(child),
-                    predicates: *predicates,
-                    k: *k,
-                },
-                estimated_cost: cost,
-                estimated_rows: rows,
-            });
-        }
-    }
-    let children: Result<Vec<PhysicalPlan>> = plan
-        .children()
-        .into_iter()
-        .map(|c| lower_with_estimates(c, ctx, estimator, cost_model))
-        .collect();
-    let mut children = children?;
-    // Map this single node over the recursively lowered children (a direct
-    // match rather than `from_logical`, which would re-lower and clone the
-    // whole subtree per level).
-    let op = match plan {
-        LogicalPlan::Scan {
-            table,
-            schema,
-            access,
-        } => match access {
-            ScanAccess::Sequential => PhysicalOp::SeqScan {
-                table: table.clone(),
-                schema: schema.clone(),
-                columnar: None,
-            },
-            ScanAccess::RankIndex { predicate } => PhysicalOp::RankScan {
-                table: table.clone(),
-                schema: schema.clone(),
-                predicate: *predicate,
-            },
-            ScanAccess::AttributeIndex { column } => PhysicalOp::AttributeIndexScan {
-                table: table.clone(),
-                schema: schema.clone(),
-                column: column.clone(),
-            },
-        },
-        LogicalPlan::Select { predicate, .. } => PhysicalOp::Filter {
-            input: Box::new(children.remove(0)),
-            predicate: predicate.clone(),
-        },
-        LogicalPlan::Project { columns, .. } => PhysicalOp::Project {
-            input: Box::new(children.remove(0)),
-            columns: columns.clone(),
-        },
-        LogicalPlan::Rank { predicate, .. } => PhysicalOp::RankMaterialize {
-            input: Box::new(children.remove(0)),
-            predicate: *predicate,
-        },
-        LogicalPlan::Join {
-            condition,
-            algorithm,
-            ..
-        } => {
-            let left = Box::new(children.remove(0));
-            let right = Box::new(children.remove(0));
-            let condition = condition.clone();
-            match algorithm {
-                JoinAlgorithm::NestedLoop => PhysicalOp::NestedLoopsJoin {
-                    left,
-                    right,
-                    condition,
-                },
-                JoinAlgorithm::Hash => PhysicalOp::HashJoin {
-                    left,
-                    right,
-                    condition,
-                },
-                JoinAlgorithm::SortMerge => PhysicalOp::SortMergeJoin {
-                    left,
-                    right,
-                    condition,
-                },
-                JoinAlgorithm::HashRankJoin => PhysicalOp::HashRankJoin {
-                    left,
-                    right,
-                    condition,
-                },
-                JoinAlgorithm::NestedLoopRankJoin => PhysicalOp::NestedLoopsRankJoin {
-                    left,
-                    right,
-                    condition,
-                },
-            }
-        }
-        LogicalPlan::SetOp { kind, .. } => {
-            let left = Box::new(children.remove(0));
-            let right = Box::new(children.remove(0));
-            PhysicalOp::SetOp {
-                kind: *kind,
-                left,
-                right,
-            }
-        }
-        LogicalPlan::Sort { predicates, .. } => PhysicalOp::Sort {
-            input: Box::new(children.remove(0)),
-            predicates: *predicates,
-        },
-        LogicalPlan::Limit { k, .. } => PhysicalOp::Limit {
-            input: Box::new(children.remove(0)),
-            k: *k,
-        },
-    };
-    let (cost, rows) = cost_model.cost_plan(plan, ctx, estimator)?;
-    Ok(PhysicalPlan {
-        op,
-        estimated_cost: cost,
-        estimated_rows: rows,
+    PhysicalPlan::from_logical_annotated(plan, &mut |node| {
+        cost_model.cost_plan(node, ctx, estimator)
     })
 }
 
@@ -203,100 +80,8 @@ pub fn fuse_mu_chains(plan: PhysicalPlan, ctx: &RankingContext) -> PhysicalPlan 
         };
     }
     // Not a µ: rebuild this node over recursively fused children.
-    let op = match op {
-        PhysicalOp::Filter { input, predicate } => PhysicalOp::Filter {
-            input: Box::new(fuse_mu_chains(*input, ctx)),
-            predicate,
-        },
-        PhysicalOp::Project { input, columns } => PhysicalOp::Project {
-            input: Box::new(fuse_mu_chains(*input, ctx)),
-            columns,
-        },
-        PhysicalOp::MproProbe { input, schedule } => PhysicalOp::MproProbe {
-            input: Box::new(fuse_mu_chains(*input, ctx)),
-            schedule,
-        },
-        PhysicalOp::NestedLoopsJoin {
-            left,
-            right,
-            condition,
-        } => PhysicalOp::NestedLoopsJoin {
-            left: Box::new(fuse_mu_chains(*left, ctx)),
-            right: Box::new(fuse_mu_chains(*right, ctx)),
-            condition,
-        },
-        PhysicalOp::HashJoin {
-            left,
-            right,
-            condition,
-        } => PhysicalOp::HashJoin {
-            left: Box::new(fuse_mu_chains(*left, ctx)),
-            right: Box::new(fuse_mu_chains(*right, ctx)),
-            condition,
-        },
-        PhysicalOp::SortMergeJoin {
-            left,
-            right,
-            condition,
-        } => PhysicalOp::SortMergeJoin {
-            left: Box::new(fuse_mu_chains(*left, ctx)),
-            right: Box::new(fuse_mu_chains(*right, ctx)),
-            condition,
-        },
-        PhysicalOp::HashRankJoin {
-            left,
-            right,
-            condition,
-        } => PhysicalOp::HashRankJoin {
-            left: Box::new(fuse_mu_chains(*left, ctx)),
-            right: Box::new(fuse_mu_chains(*right, ctx)),
-            condition,
-        },
-        PhysicalOp::NestedLoopsRankJoin {
-            left,
-            right,
-            condition,
-        } => PhysicalOp::NestedLoopsRankJoin {
-            left: Box::new(fuse_mu_chains(*left, ctx)),
-            right: Box::new(fuse_mu_chains(*right, ctx)),
-            condition,
-        },
-        PhysicalOp::SetOp { kind, left, right } => PhysicalOp::SetOp {
-            kind,
-            left: Box::new(fuse_mu_chains(*left, ctx)),
-            right: Box::new(fuse_mu_chains(*right, ctx)),
-        },
-        PhysicalOp::Sort { input, predicates } => PhysicalOp::Sort {
-            input: Box::new(fuse_mu_chains(*input, ctx)),
-            predicates,
-        },
-        PhysicalOp::SortLimit {
-            input,
-            predicates,
-            k,
-        } => PhysicalOp::SortLimit {
-            input: Box::new(fuse_mu_chains(*input, ctx)),
-            predicates,
-            k,
-        },
-        PhysicalOp::Limit { input, k } => PhysicalOp::Limit {
-            input: Box::new(fuse_mu_chains(*input, ctx)),
-            k,
-        },
-        PhysicalOp::Exchange { input, merge } => PhysicalOp::Exchange {
-            input: Box::new(fuse_mu_chains(*input, ctx)),
-            merge,
-        },
-        PhysicalOp::Repartition { input } => PhysicalOp::Repartition {
-            input: Box::new(fuse_mu_chains(*input, ctx)),
-        },
-        leaf @ (PhysicalOp::SeqScan { .. }
-        | PhysicalOp::RankScan { .. }
-        | PhysicalOp::AttributeIndexScan { .. }
-        | PhysicalOp::RankMaterialize { .. }) => leaf,
-    };
     PhysicalPlan {
-        op,
+        op: op.map_children(|child| fuse_mu_chains(child, ctx)),
         estimated_cost,
         estimated_rows,
     }

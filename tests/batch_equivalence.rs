@@ -1,11 +1,13 @@
 //! Batch-mode vs tuple-mode execution equivalence.
 //!
 //! The batched pull interface (`PhysicalOperator::next_batch`) must be a
-//! pure chunking of the tuple stream `next()` produces: same membership,
-//! same order, same scores — for every plan mode and any batch size.  These
-//! properties drive randomly generated two-table workloads through all five
-//! `PlanMode`s, executing each chosen physical plan once tuple-at-a-time and
-//! once batched, and require identical ordered results.
+//! pure chunking of the tuple stream batch size 1 produces: same
+//! membership, same order, same scores — for every plan mode and any batch
+//! size.  These properties drive randomly generated two-table workloads
+//! through all five `PlanMode`s, executing each chosen physical plan once
+//! tuple-at-a-time (batch size 1) and once batched, and require identical
+//! ordered results; on the rank-aware modes they also require the same
+//! tuples scanned and the same predicate evaluations.
 
 use proptest::prelude::*;
 
@@ -18,6 +20,14 @@ use ranksql::{
 const ALL_MODES: [PlanMode; 5] = [
     PlanMode::Canonical,
     PlanMode::Traditional,
+    PlanMode::RankAware,
+    PlanMode::RankAwareExhaustive,
+    PlanMode::RankAwareRuleBased,
+];
+
+/// The modes whose plans are built from the incremental rank-aware
+/// operators (rank-scans, µ, MPro, HRJN/NRJN).
+const RANK_AWARE_MODES: [PlanMode; 3] = [
     PlanMode::RankAware,
     PlanMode::RankAwareExhaustive,
     PlanMode::RankAwareRuleBased,
@@ -92,6 +102,19 @@ fn build_database(w: &Workload) -> (Database, RankQuery) {
     (db, query)
 }
 
+/// Per-predicate evaluations since `before`, read from the query's shared
+/// ranking counters.
+fn evaluations_since(query: &RankQuery, before: &[u64]) -> Vec<u64> {
+    query
+        .ranking
+        .counters()
+        .snapshot()
+        .iter()
+        .zip(before)
+        .map(|(after, before)| after - before)
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
 
@@ -106,12 +129,16 @@ proptest! {
 
             let tuple_exec = ExecutionContext::new(query.ranking.clone());
             let mut tuple_root = build_operator(&physical, db.catalog(), &tuple_exec).unwrap();
+            let before = query.ranking.counters().snapshot();
             let tuple_rows = drain(tuple_root.as_mut()).unwrap();
+            let tuple_evals = evaluations_since(&query, &before);
 
             let batch_exec =
                 ExecutionContext::new(query.ranking.clone()).with_batch_size(w.batch_size);
             let mut batch_root = build_operator(&physical, db.catalog(), &batch_exec).unwrap();
+            let before = query.ranking.counters().snapshot();
             let batch_rows = drain_batched(batch_root.as_mut(), w.batch_size).unwrap();
+            let batch_evals = evaluations_since(&query, &before);
 
             prop_assert_eq!(
                 tuple_rows.len(),
@@ -136,6 +163,24 @@ proptest! {
                     mode,
                     w.batch_size,
                     i
+                );
+            }
+            // Incrementality: the batch size changes neither how much
+            // input a rank-aware plan draws nor how many probes it makes.
+            if RANK_AWARE_MODES.contains(&mode) {
+                prop_assert_eq!(
+                    tuple_exec.budget().used(),
+                    batch_exec.budget().used(),
+                    "mode {:?}, batch size {}: tuples scanned differ",
+                    mode,
+                    w.batch_size
+                );
+                prop_assert_eq!(
+                    &tuple_evals,
+                    &batch_evals,
+                    "mode {:?}, batch size {}: predicate evaluations differ",
+                    mode,
+                    w.batch_size
                 );
             }
         }

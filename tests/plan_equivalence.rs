@@ -10,7 +10,9 @@
 
 use proptest::prelude::*;
 use ranksql::algebra::PhysicalPlan;
-use ranksql::executor::{build_operator, execute_query_plan, oracle_top_k, ExecutionContext};
+use ranksql::executor::{
+    build_operator, drain, execute_query_plan, oracle_top_k, ExecutionContext,
+};
 use ranksql::{
     BoolExpr, Database, JoinAlgorithm, LogicalPlan, PlanMode, QueryBuilder, RankPredicate,
     RankQuery, ScoringFunction,
@@ -134,10 +136,7 @@ proptest! {
         let physical = PhysicalPlan::from_logical(&plan).unwrap();
         let exec = ExecutionContext::new(std::sync::Arc::clone(&query.ranking));
         let mut op = build_operator(&physical, &catalog, &exec).unwrap();
-        let mut emitted = Vec::new();
-        while let Some(t) = op.next().unwrap() {
-            emitted.push(t);
-        }
+        let emitted = drain(op.as_mut()).unwrap();
         // Non-increasing upper bounds.
         for w in emitted.windows(2) {
             prop_assert!(
@@ -310,4 +309,35 @@ fn explain_analyze_reports_actual_cardinalities() {
         first_plan_line.contains(&format!("actual_rows={}", result.rows.len())),
         "{analyzed}"
     );
+}
+
+/// Without a ranking context the plan labels render predicates by index
+/// (`RankScan_p#0(Hotel)`), unlike the labels the metrics registered; the
+/// actuals still attach to every node because they pair by post-order
+/// position, not by label text.
+#[test]
+fn explain_analyze_without_ranking_context_annotates_every_node() {
+    let (db, query) = hotel_restaurant_db();
+    for mode in [
+        PlanMode::Canonical,
+        PlanMode::RankAware,
+        PlanMode::RankAwareExhaustive,
+        PlanMode::RankAwareRuleBased,
+        PlanMode::Traditional,
+    ] {
+        let result = db.execute_with_mode(&query, mode).unwrap();
+        let analyzed = result.explain_analyze(None);
+        let plan_lines: Vec<&str> = analyzed.lines().filter(|l| l.contains("(cost=")).collect();
+        assert_eq!(
+            plan_lines.len(),
+            result.physical.node_count(),
+            "mode {mode:?}:\n{analyzed}"
+        );
+        for line in plan_lines {
+            assert!(
+                line.contains("actual_rows="),
+                "mode {mode:?}: no actuals on `{line}`:\n{analyzed}"
+            );
+        }
+    }
 }
