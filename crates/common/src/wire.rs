@@ -3,11 +3,13 @@
 //!
 //! Every message is one *frame*: a 4-byte big-endian length followed by a
 //! 1-byte opcode and an opcode-specific payload (the length covers opcode +
-//! payload).  Payloads are built and parsed through [`PayloadWriter`] /
-//! [`PayloadReader`], which encode the primitive vocabulary — integers in
-//! big-endian, strings as `u32` length + UTF-8 bytes, [`Value`]s as a tag
-//! byte + payload, and floats as raw IEEE-754 bits so `NaN` round-trips
-//! bit-exactly.
+//! payload); [`write_frame`] hands each frame to the writer in a single
+//! write, and every reader applies the one length rule in
+//! [`frame_payload_len`].  Payloads are built and parsed through
+//! [`PayloadWriter`] / [`PayloadReader`], which encode the primitive
+//! vocabulary — integers in big-endian, strings as `u32` length + UTF-8
+//! bytes, [`Value`]s as a tag byte + payload, and floats as raw IEEE-754
+//! bits so `NaN` round-trips bit-exactly.
 //!
 //! Result rows cross the wire in a canonical byte encoding
 //! ([`encode_row`] / [`decode_row`]): score bits, the tuple's provenance
@@ -262,18 +264,35 @@ pub fn is_clean_eof(err: &WireError) -> bool {
     matches!(err, WireError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof)
 }
 
-/// Writes one frame: 4-byte big-endian length, opcode, payload.
-pub fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> Result<(), WireError> {
-    let len = payload.len() as u64 + 1;
-    if len > u64::from(MAX_FRAME_LEN) {
-        return Err(WireError::Oversized {
-            len: len.min(u64::from(u32::MAX)) as u32,
-            max: MAX_FRAME_LEN,
-        });
+/// The one frame-length rule, shared by every reader and the writer: a
+/// frame's length field counts opcode + payload, so it must be at least 1
+/// and at most `max_len`.  Returns the payload length (`len - 1`).
+///
+/// Readers call this on the 4-byte header before reading (or allocating)
+/// anything else, so an over-cap prefix costs no allocation.
+pub fn frame_payload_len(len: u32, max_len: u32) -> Result<usize, WireError> {
+    if len == 0 {
+        return Err(WireError::Malformed("zero-length frame".into()));
     }
-    w.write_all(&(len as u32).to_be_bytes())?;
-    w.write_all(&[opcode])?;
-    w.write_all(payload)?;
+    if len > max_len {
+        return Err(WireError::Oversized { len, max: max_len });
+    }
+    Ok(len as usize - 1)
+}
+
+/// Writes one frame: 4-byte big-endian length, opcode, payload.
+///
+/// The frame is assembled in one buffer and handed to the writer in a
+/// single `write_all`, so on an unbuffered `TCP_NODELAY` socket it leaves
+/// as one `send` (one segment for small frames) instead of three.
+pub fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> Result<(), WireError> {
+    let len = u32::try_from(payload.len().saturating_add(1)).unwrap_or(u32::MAX);
+    frame_payload_len(len, MAX_FRAME_LEN)?;
+    let mut frame = Vec::with_capacity(5 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.push(opcode);
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -285,18 +304,12 @@ pub fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> Result<(),
 pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<(u8, Vec<u8>), WireError> {
     let mut header = [0u8; 4];
     r.read_exact(&mut header)?;
-    let len = u32::from_be_bytes(header);
-    if len == 0 {
-        return Err(WireError::Malformed("zero-length frame".into()));
-    }
-    if len > max_len {
-        return Err(WireError::Oversized { len, max: max_len });
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    let opcode = body[0];
-    body.drain(..1);
-    Ok((opcode, body))
+    let payload_len = frame_payload_len(u32::from_be_bytes(header), max_len)?;
+    let mut opcode = [0u8; 1];
+    r.read_exact(&mut opcode)?;
+    let mut payload = vec![0u8; payload_len];
+    r.read_exact(&mut payload)?;
+    Ok((opcode[0], payload))
 }
 
 /// Builds a frame payload out of the protocol's primitive vocabulary.
@@ -616,6 +629,88 @@ mod tests {
         // Clean EOF between frames.
         let err = read_frame(&mut r, MAX_FRAME_LEN).unwrap_err();
         assert!(is_clean_eof(&err), "{err}");
+    }
+
+    /// The frame layout, pinned byte for byte: a `PREPARE` with a payload
+    /// and an empty `STATS`.
+    #[test]
+    fn frames_encode_to_golden_bytes() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, opcode::PREPARE, b"SELECT 1").unwrap();
+        assert_eq!(buf, b"\x00\x00\x00\x09\x02SELECT 1");
+        buf.clear();
+        write_frame(&mut buf, opcode::STATS, b"").unwrap();
+        assert_eq!(buf, [0x00, 0x00, 0x00, 0x01, 0x08]);
+    }
+
+    /// A `Write` that records every `write` call and accepts at most
+    /// `max_chunk` bytes per call.
+    struct Recorder {
+        max_chunk: usize,
+        writes: usize,
+        flushes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Recorder {
+        fn new(max_chunk: usize) -> Self {
+            Recorder {
+                max_chunk,
+                writes: 0,
+                flushes: 0,
+                bytes: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            let n = buf.len().min(self.max_chunk);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        for payload in [&b""[..], b"x", &[7u8; 1000]] {
+            let mut w = Recorder::new(usize::MAX);
+            write_frame(&mut w, opcode::FETCH, payload).unwrap();
+            assert_eq!(
+                (w.writes, w.flushes),
+                (1, 1),
+                "{}-byte payload",
+                payload.len()
+            );
+            assert_eq!(w.bytes.len(), 5 + payload.len());
+        }
+    }
+
+    #[test]
+    fn partial_writes_still_deliver_the_whole_frame() {
+        let mut whole = Vec::new();
+        write_frame(&mut whole, opcode::PREPARE, b"SELECT 1").unwrap();
+        let mut w = Recorder::new(3);
+        write_frame(&mut w, opcode::PREPARE, b"SELECT 1").unwrap();
+        assert_eq!(w.bytes, whole);
+        assert_eq!(w.writes, whole.len().div_ceil(3));
+    }
+
+    #[test]
+    fn oversized_writes_are_refused_before_any_byte_is_written() {
+        let mut w = Recorder::new(usize::MAX);
+        let payload = vec![0u8; MAX_FRAME_LEN as usize];
+        let err = write_frame(&mut w, opcode::INSERT, &payload).unwrap_err();
+        assert!(
+            matches!(err, WireError::Oversized { len, max: MAX_FRAME_LEN } if len == MAX_FRAME_LEN + 1)
+        );
+        assert_eq!(w.writes, 0);
     }
 
     #[test]

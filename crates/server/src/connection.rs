@@ -70,23 +70,23 @@ fn read_frame_polling(r: &mut impl Read, max_len: u32, shutdown: &AtomicBool) ->
         Fill::CleanEof => return FrameRead::Eof,
         Fill::Failed => return FrameRead::Failed,
     }
-    let len = u32::from_be_bytes(header);
-    if len == 0 {
-        return FrameRead::Malformed("zero-length frame".into());
+    let payload_len = match wire::frame_payload_len(u32::from_be_bytes(header), max_len) {
+        Ok(n) => n,
+        Err(WireError::Oversized { len, max }) => return FrameRead::Oversized { len, max },
+        Err(WireError::Malformed(msg)) => return FrameRead::Malformed(msg),
+        Err(WireError::Io(_)) => return FrameRead::Failed,
+    };
+    let mut opcode = [0u8; 1];
+    let mut payload = vec![0u8; payload_len];
+    for buf in [&mut opcode[..], &mut payload[..]] {
+        match read_full(r, buf, false, shutdown) {
+            Fill::Done => {}
+            Fill::Shutdown => return FrameRead::Shutdown,
+            // EOF or error mid-frame: the stream died inside a message.
+            Fill::CleanEof | Fill::Failed => return FrameRead::Failed,
+        }
     }
-    if len > max_len {
-        return FrameRead::Oversized { len, max: max_len };
-    }
-    let mut body = vec![0u8; len as usize];
-    match read_full(r, &mut body, false, shutdown) {
-        Fill::Done => {}
-        Fill::Shutdown => return FrameRead::Shutdown,
-        // EOF or error mid-frame: the stream died inside a message.
-        Fill::CleanEof | Fill::Failed => return FrameRead::Failed,
-    }
-    let opcode = body[0];
-    body.drain(..1);
-    FrameRead::Frame(opcode, body)
+    FrameRead::Frame(opcode[0], payload)
 }
 
 enum Fill {
@@ -742,5 +742,103 @@ mod tests {
             assert_eq!(decode_mode(code), Some(mode));
         }
         assert_eq!(decode_mode(200), None);
+    }
+
+    /// A socket stand-in that delivers at most one byte per `read` and
+    /// answers every other call with a read-timeout error, alternating
+    /// `WouldBlock` and `TimedOut` (the two kinds a timed-out socket read
+    /// reports, depending on the platform).
+    struct Trickle {
+        bytes: Vec<u8>,
+        pos: usize,
+        calls: usize,
+    }
+
+    impl Trickle {
+        fn new(bytes: Vec<u8>) -> Self {
+            Trickle {
+                bytes,
+                pos: 0,
+                calls: 0,
+            }
+        }
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            match self.calls % 4 {
+                1 => return Err(std::io::ErrorKind::WouldBlock.into()),
+                3 => return Err(std::io::ErrorKind::TimedOut.into()),
+                _ => {}
+            }
+            if self.pos == self.bytes.len() || buf.is_empty() {
+                return Ok(0);
+            }
+            buf[0] = self.bytes[self.pos];
+            self.pos += 1;
+            Ok(1)
+        }
+    }
+
+    fn frame(op: u8, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        wire::write_frame(&mut buf, op, payload).unwrap();
+        buf
+    }
+
+    fn poll(r: &mut Trickle) -> FrameRead {
+        read_frame_polling(r, 64, &AtomicBool::new(false))
+    }
+
+    #[test]
+    fn polling_reads_reassemble_trickled_frames() {
+        let mut bytes = frame(opcode::PREPARE, b"SELECT 1");
+        bytes.extend(frame(opcode::STATS, b""));
+        bytes.extend(frame(opcode::FETCH, &[0xAB; 63]));
+        let mut r = Trickle::new(bytes);
+        for (want_op, want_payload) in [
+            (opcode::PREPARE, b"SELECT 1".to_vec()),
+            (opcode::STATS, Vec::new()),
+            (opcode::FETCH, vec![0xAB; 63]),
+        ] {
+            match poll(&mut r) {
+                FrameRead::Frame(op, payload) => {
+                    assert_eq!((op, payload), (want_op, want_payload));
+                }
+                _ => panic!("expected frame 0x{want_op:02x}"),
+            }
+        }
+        // EOF between frames is a clean hangup.
+        assert!(matches!(poll(&mut r), FrameRead::Eof));
+    }
+
+    #[test]
+    fn polling_reads_classify_eof_and_bad_lengths() {
+        // EOF inside the header, after the header, and inside the payload.
+        let whole = frame(opcode::PREPARE, b"SELECT 1");
+        for cut in [2, 4, 7] {
+            let mut r = Trickle::new(whole[..cut].to_vec());
+            assert!(
+                matches!(poll(&mut r), FrameRead::Failed),
+                "cut at byte {cut}"
+            );
+        }
+
+        let mut zero = 0u32.to_be_bytes().to_vec();
+        zero.extend(frame(opcode::STATS, b""));
+        let mut r = Trickle::new(zero);
+        assert!(matches!(poll(&mut r), FrameRead::Malformed(_)));
+        // Framing survives a zero-length frame: the next frame still parses.
+        assert!(matches!(poll(&mut r), FrameRead::Frame(opcode::STATS, _)));
+
+        let mut over = 65u32.to_be_bytes().to_vec();
+        over.extend_from_slice(&[0u8; 65]);
+        let mut r = Trickle::new(over);
+        assert!(matches!(
+            poll(&mut r),
+            FrameRead::Oversized { len: 65, max: 64 }
+        ));
+        assert_eq!(r.pos, 4, "the oversized frame's body must not be read");
     }
 }

@@ -18,10 +18,16 @@
 //! tree).  `STATS` must show the open cursor's pinned epochs and a warm
 //! shared plan cache.
 //!
+//! Phase A also reports its request count, throughput and p50/p99
+//! request latency on one line; a request is one work item from `HELLO`
+//! through `CLOSE` (six or more wire round trips).
+//!
 //! Exits non-zero on any mismatch.  Run with:
 //! `LOADGEN_CLIENTS=8 cargo run --release --example load_generator`
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use ranksql::common::wire::ResultFingerprint;
 use ranksql::server::{Server, ServerConfig};
@@ -149,19 +155,22 @@ fn reference_fingerprint(db: &Database, item: &WorkItem) -> ranksql::Result<Stri
 }
 
 /// One wire client's run over the whole work list, `rounds` times.
-/// Returns the number of fingerprint mismatches (0 = clean).
+/// Returns the number of fingerprint mismatches (0 = clean); the latency
+/// of every completed request is appended to `latencies`.
 fn run_client(
     addr: std::net::SocketAddr,
     client_idx: usize,
     items: &[WorkItem],
     expected: &[String],
     rounds: usize,
+    latencies: &mut Vec<Duration>,
 ) -> Result<u64, String> {
     let mut client = WireClient::connect(addr).map_err(|e| e.to_string())?;
     let tenant = format!("tenant-{}", client_idx % 3);
     let mut mismatches = 0u64;
     for _ in 0..rounds {
         for (item, want) in items.iter().zip(expected) {
+            let started = Instant::now();
             // Renegotiate per item so each mode runs under its own envelope
             // (threads/batch 0 = server defaults, budget 0 = none).
             client
@@ -188,9 +197,19 @@ fn run_client(
                 mismatches += 1;
             }
             client.close(opened.cursor_id).map_err(|e| e.to_string())?;
+            latencies.push(started.elapsed());
         }
     }
     Ok(mismatches)
+}
+
+/// The nearest-rank `q`-quantile of `sorted` (ascending), in milliseconds.
+fn quantile_ms(sorted: &[Duration], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1].as_secs_f64() * 1e3
 }
 
 /// Phase B: epoch pinning + FETCH_MORE without re-execution, across a
@@ -333,20 +352,24 @@ fn main() -> ranksql::Result<()> {
 
     let mismatches = AtomicU64::new(0);
     let failures = AtomicU64::new(0);
+    let latencies = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         let server_thread = scope.spawn(|| server.serve(&db));
 
         // Phase A: concurrent clients, each fingerprint-checked.
         scope
             .spawn(|| {
+                let phase_a = Instant::now();
                 std::thread::scope(|clients_scope| {
                     for i in 0..clients {
                         let items = &items;
                         let expected = &expected;
                         let mismatches = &mismatches;
                         let failures = &failures;
+                        let latencies = &latencies;
                         clients_scope.spawn(move || {
-                            match run_client(addr, i, items, expected, rounds) {
+                            let mut mine = Vec::new();
+                            match run_client(addr, i, items, expected, rounds, &mut mine) {
                                 Ok(n) => {
                                     mismatches.fetch_add(n, Ordering::Relaxed);
                                 }
@@ -355,9 +378,27 @@ fn main() -> ranksql::Result<()> {
                                     failures.fetch_add(1, Ordering::Relaxed);
                                 }
                             }
+                            latencies
+                                .lock()
+                                .expect("a client thread panicked holding the latency list")
+                                .extend(mine);
                         });
                     }
                 });
+                let wall = phase_a.elapsed().as_secs_f64();
+                let mut sorted = latencies
+                    .lock()
+                    .expect("a client thread panicked holding the latency list")
+                    .clone();
+                sorted.sort_unstable();
+                println!(
+                    "phase A: {clients} clients, {} requests in {wall:.3} s, {:.1} QPS, \
+                     request latency p50 {:.3} ms p99 {:.3} ms",
+                    sorted.len(),
+                    sorted.len() as f64 / wall,
+                    quantile_ms(&sorted, 0.50),
+                    quantile_ms(&sorted, 0.99),
+                );
 
                 // Phase B: epoch pinning across an insert burst.
                 if let Err(e) = run_pinning_phase(&db, addr) {

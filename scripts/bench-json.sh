@@ -2,7 +2,7 @@
 # Regenerate a BENCH_*.json summary (and, by extension, bench/baseline.json)
 # with one command:
 #
-#     scripts/bench-json.sh                 # writes BENCH_PR12.json
+#     scripts/bench-json.sh                 # writes BENCH_PR14.json
 #     scripts/bench-json.sh bench/baseline.json
 #
 # Runs the pinned criterion groups of the bench-regression CI job
@@ -16,7 +16,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_PR12.json}"
+OUT="${1:-BENCH_PR14.json}"
 
 {
     cargo bench -p ranksql-bench --bench operators_micro
